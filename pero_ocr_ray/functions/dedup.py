@@ -216,6 +216,12 @@ def label_propagation_components(pairs: rd.Dataset, max_iters: int = 25
     from ray.data.aggregate import Sum
     from pero_ocr_ray.functions.join import hash_join
 
+    # both union branches below consume ``pairs``: materialize it so its
+    # lineage runs once. Unmaterialized, each branch starts its own copy of
+    # any upstream actor pool (near_dup_clusters: two MinHashStage pools of
+    # 2 CPUs), which on a 4-CPU session holds every CPU while the read
+    # tasks feeding them wait for one — a silent deadlock.
+    pairs = pairs.materialize()
     edges = pairs.map_batches(
         lambda t: pa.table({"doc_id": t.column("doc_a"),
                             "nbr": t.column("doc_b")}),

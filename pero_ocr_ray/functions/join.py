@@ -13,9 +13,32 @@ Two implementations of the inner equi-join (J3 analog, SURVEY §2.4):
 
 from __future__ import annotations
 
+import math
+
 import pandas as pd
 
 import ray.data as rd
+
+
+def join_aggregator_args(num_partitions: int) -> dict:
+    """``ray.remote`` args for the aggregator actors of a native join with
+    ``num_partitions`` partitions: Ray's own join CPU sizing for a cluster
+    without an autoscaler config (0.125 CPU per partition, scaled by the
+    partitions each aggregator serves), ``SPREAD`` placement, and NO
+    logical ``memory`` reservation (see :func:`hash_join`)."""
+    ctx = rd.DataContext.get_current()
+    # same aggregator count and per-partition CPU rule as Ray's
+    # HashShufflingOperatorBase / JoinOperator defaults
+    num_aggregators = min(num_partitions, ctx.max_hash_shuffle_aggregators
+                          or ctx.default_hash_shuffle_parallelism)
+    cpus_per_partition = (ctx.join_operator_actor_num_cpus_per_partition_override
+                          or 0.125)
+    return {
+        "num_cpus": (cpus_per_partition
+                     * math.ceil(num_partitions / num_aggregators)),
+        "memory": 0,
+        "scheduling_strategy": "SPREAD",
+    }
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset, on: str,
@@ -25,8 +48,27 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str,
     count (capped 2..64): each partition runs a HashShuffleAggregator
     actor, and over-provisioning aggregators beyond the CPUs deadlocks
     small clusters when composed with actor-pool stages (observed at 16
-    partitions on 4 cpus). On a real multi-node cluster pass an explicit
-    larger value sized to total cores."""
+    partitions on 4 cpus).
+
+    The engine sets the aggregators' resource request itself
+    (:func:`join_aggregator_args`) instead of leaving it to Ray. Left to
+    itself, Ray 2.49 reserves logical ``memory`` for every aggregator from
+    a placeholder, not from the data: 7 x ``target_max_block_size``
+    (896 MiB at the 128 MiB default) per partition. Every join pool of a
+    plan is placed at once when execution starts, and Ray only logs a
+    warning when a pool cannot fit, so a memory reservation the node
+    cannot hold hangs the job with idle CPUs (32 partitions ask for 28 GiB;
+    a 15 GiB box offers ~10 GiB of ``memory``). The engine's request keeps
+    Ray's CPU sizing for a cluster without an autoscaler config (there Ray
+    would ask for min(1, CPU / 2 / partitions) per partition instead) and
+    ``SPREAD`` placement, and reserves no memory.
+
+    On a real multi-node cluster pass an explicit larger
+    ``num_partitions`` sized to total cores; the per-partition CPU request
+    and the aggregator count follow Ray's ``DataContext`` settings
+    (``join_operator_actor_num_cpus_per_partition_override``,
+    ``max_hash_shuffle_aggregators``), which :func:`join_aggregator_args`
+    reads."""
     from pero_ocr_ray.util import arrow_meta_free, shuffle_partitions
     if num_partitions is None:
         num_partitions = shuffle_partitions()
@@ -36,7 +78,9 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str,
     left = arrow_meta_free(left)
     right = arrow_meta_free(right)
     return left.join(right, join_type=join_type, num_partitions=num_partitions,
-                     on=(on,), right_on=(right_on or on,))
+                     on=(on,), right_on=(right_on or on,),
+                     aggregator_ray_remote_args=join_aggregator_args(
+                         num_partitions))
 
 
 def asof_join(left: rd.Dataset, right: rd.Dataset, key: str, ts: str,
